@@ -5,34 +5,34 @@ vectorized: ``leave_one_out`` / ``grid_search`` / ``HybridFlow`` train
 dozens to hundreds of Random Forests per run.  This module gives the
 forest the same treatment the solver got in the batched/packed engines:
 
-* :func:`grow_frontier` replaces the recursive, per-candidate-feature
-  Python loop of ``DecisionTreeClassifier._grow`` with a breadth-first
-  builder.  Each level evaluates best-split histograms for the *entire
-  frontier of open nodes in one pass*: ``(node, candidate slot,
-  feature value, class)`` is encoded into a single flat index and every
-  per-node per-feature class histogram falls out of one ``np.bincount``
-  plus a segmented cumulative sum (the LightGBM histogram trick — exact
-  here, because CA-matrix features are small integer codes).  Grown
-  trees are **node-for-node identical** to the recursive reference:
-  same features, thresholds, counts and DFS-preorder node numbering
-  (``tests/test_learning_engine.py`` enforces it differentially).
+* :func:`grow_frontier` grows a tree breadth-first.  Each level
+  evaluates best-split histograms for the *entire frontier of open
+  nodes in one pass*: ``(node, candidate slot, feature value, class)``
+  is encoded into a single flat index and every per-node per-feature
+  class histogram falls out of one ``np.bincount`` plus a segmented
+  cumulative sum (the LightGBM histogram trick — exact here, because
+  CA-matrix features are small integer codes).  Rows carry integer
+  multiplicities, so the forest grows each tree on its unique rows
+  weighted by the bootstrap draw.  Grown trees are **node-for-node
+  identical** to the depth-first reference grown on the materialized
+  resample: same features, thresholds, counts and DFS-preorder node
+  numbering (``tests/test_learning_engine.py`` enforces it against the
+  reference in ``tests/learning_oracle.py``).
 
 * :class:`PackedForest` packs every estimator's flattened node arrays
   into one offset-indexed structure and runs a single level-synchronous
   descent over all ``(sample, tree)`` lanes with active-lane
-  compaction, replacing the per-tree Python loop of
-  ``RandomForestClassifier.predict_proba``.  Per-tree vote dispersion —
-  the confidence signal for uncertainty-gated routing — comes out of
-  the same descent for free.
+  compaction, instead of a per-tree Python loop.  Per-tree vote
+  dispersion — the confidence signal for uncertainty-gated routing —
+  comes out of the same descent for free.
 
-Identity between the two growth engines rests on one refactor: the
+Identity with the depth-first reference rests on one refactor: the
 candidate-feature subset of a node is drawn from a *per-node* generator
 seeded by ``(tree seed, heap path key)`` (:func:`candidate_features`)
-instead of one sequential generator consumed in growth order.  Both
-engines draw the exact same subsets for the exact same nodes no matter
-which order they visit them in — which is what makes breadth-first
-growth (and any future by-level parallelism) provably equivalent to
-the depth-first reference.
+instead of one sequential generator consumed in growth order.  Any
+growth order draws the exact same subsets for the exact same nodes —
+which is what makes breadth-first growth (and any future by-level
+parallelism) provably equivalent to the depth-first reference.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ from repro import obs
 M_FIT_SECONDS = "learning.fit.seconds"
 #: counter — frontier nodes processed by the level-synchronous builder
 M_FRONTIER_NODES = "learning.frontier_nodes"
+#: counter — training rows passed to RandomForestClassifier.fit
+M_FIT_ROWS = "learning.fit_rows"
+#: counter — distinct (row, label) pairs the forest's trees grow on
+M_FIT_UNIQUE_ROWS = "learning.fit_unique_rows"
 #: counter — (sample, tree) lanes descended by the packed forest
 M_PACKED_LANES = "learning.packed_lanes"
 
@@ -71,7 +75,7 @@ def candidate_features(
 
     ``path_key`` is the node's heap path (root 1, left ``2k``, right
     ``2k + 1``), so the draw depends only on the node's position in the
-    tree — the frontier and recursive engines see identical subsets.
+    tree — breadth-first and depth-first growth see identical subsets.
     The subset keeps the generator's draw order (ties between equally
     good features resolve toward the earlier candidate, exactly like
     the reference's sequential strict-less-than scan).
@@ -85,6 +89,11 @@ def candidate_features(
 # ----------------------------------------------------------------------
 # Level-synchronous growth
 # ----------------------------------------------------------------------
+def _weighted_count(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """``np.bincount`` of integer *weights*, exact as int64 below 2**53."""
+    return np.bincount(index, weights=weights, minlength=size).astype(np.int64)
+
+
 def grow_frontier(
     X: np.ndarray,
     y: np.ndarray,
@@ -95,12 +104,17 @@ def grow_frontier(
     min_samples_leaf: int,
     n_candidates: int,
     base_seed: int,
+    weights: np.ndarray,
 ) -> List[NodeRecord]:
     """Grow one CART tree breadth-first; returns DFS-preorder records.
 
-    *y* must be integer-encoded class labels (``0 .. n_classes - 1``).
-    The returned node list is exactly what the recursive reference
-    builds: same splits, same tie-breaking, same numbering.
+    *y* must be integer-encoded class labels (``0 .. n_classes - 1``)
+    and *weights* each row's positive integer multiplicity.  The tree is
+    exactly the one the recursive reference grows on the sample that
+    repeats every row ``weights[i]`` times: same splits, same
+    tie-breaking, same numbering.  Every size, class count and histogram
+    bin is a weighted sum of integers, exact in float64 below 2**53 and
+    cast back to int64.
     """
     n_rows, n_features = X.shape
     X = np.asarray(X)
@@ -141,16 +155,16 @@ def grow_frontier(
     frontier_keys = [1]
     rows = np.arange(n_rows, dtype=np.int64)
     row_node = np.zeros(n_rows, dtype=np.int64)
+    row_weight = np.asarray(weights, dtype=np.float64)
     depth = 0
     metrics = obs.metrics()
 
     while frontier_ids:
         n_frontier = len(frontier_ids)
         metrics.inc(M_FRONTIER_NODES, n_frontier)
-        sizes = np.bincount(row_node, minlength=n_frontier)
-        class_counts_int = np.bincount(
-            row_node * n_classes + y[rows],
-            minlength=n_frontier * n_classes,
+        sizes = _weighted_count(row_node, row_weight, n_frontier)
+        class_counts_int = _weighted_count(
+            row_node * n_classes + y[rows], row_weight, n_frontier * n_classes
         ).reshape(n_frontier, n_classes)
         class_counts = class_counts_int.astype(np.float64)
         for rank in range(n_frontier):
@@ -188,6 +202,7 @@ def grow_frontier(
         rank_to_open[open_ranks] = np.arange(n_open)
         in_open = open_mask[row_node]
         open_rows = rows[in_open]
+        open_weight = row_weight[in_open]
         open_rank_of_row = rank_to_open[row_node[in_open]]
 
         best_score = np.full(n_open, np.inf)
@@ -201,6 +216,7 @@ def grow_frontier(
             hi = min(lo + chunk, n_open)
             in_chunk = (open_rank_of_row >= lo) & (open_rank_of_row < hi)
             chunk_rows = open_rows[in_chunk]
+            chunk_weight = open_weight[in_chunk]
             local_rank = open_rank_of_row[in_chunk] - lo
             n_chunk = hi - lo
             # One flat (node, slot, class, value) histogram for the
@@ -213,9 +229,10 @@ def grow_frontier(
             )
             slot_base = np.arange(n_slots) * (n_classes * n_values)
             flat = (row_base[:, None] + slot_base[None, :]) + values
-            histogram = np.bincount(
+            histogram = _weighted_count(
                 flat.ravel(),
-                minlength=n_chunk * n_slots * n_classes * n_values,
+                np.repeat(chunk_weight, n_slots),
+                n_chunk * n_slots * n_classes * n_values,
             ).reshape(n_chunk, n_slots, n_classes, n_values)
             prefix = histogram.cumsum(axis=3)[:, :, :, :-1]
             left_totals = prefix.sum(axis=2)
@@ -261,13 +278,18 @@ def grow_frontier(
         # Route on the ORIGINAL values, like the reference.
         in_split = split_mask[open_rank_of_row]
         split_rows = open_rows[in_split]
+        split_weight = open_weight[in_split]
         split_rank = open_rank_of_row[in_split]
         go_left = (
             X[split_rows, split_feature[split_rank]]
             <= split_threshold[split_rank]
         )
-        left_sizes = np.bincount(split_rank[go_left], minlength=n_open)
-        right_sizes = np.bincount(split_rank[~go_left], minlength=n_open)
+        left_sizes = _weighted_count(
+            split_rank[go_left], split_weight[go_left], n_open
+        )
+        right_sizes = _weighted_count(
+            split_rank[~go_left], split_weight[~go_left], n_open
+        )
         # The reference re-checks routed child sizes (they can differ
         # from the histogram totals only for non-integer features).
         ok = (
@@ -295,6 +317,7 @@ def grow_frontier(
 
         keep = ok[split_rank]
         rows = split_rows[keep]
+        row_weight = split_weight[keep]
         row_node = 2 * child_of[split_rank[keep]] + np.where(
             go_left[keep], 0, 1
         )

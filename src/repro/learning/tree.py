@@ -5,20 +5,19 @@ estimators are re-implemented.  The tree exploits a property of the
 CA-matrix: every feature is a small integer code, so exhaustive split
 search per feature is a bincount away and splits are exact.
 
-Two growth engines produce **node-for-node identical** trees:
+Trees grow level-synchronously (:func:`repro.learning.engine.grow_frontier`):
+one flat histogram pass per level over the whole frontier of open nodes,
+no recursion, so deep chain-shaped trees cannot hit the recursion limit.
+``fit`` takes optional integer ``sample_weight`` multiplicities; a tree
+grown on distinct rows with multiplicities is node-for-node the tree
+grown on the sample that repeats each row that many times.  That is how
+the forest grows every tree on its training set's unique rows, weighted
+by the bootstrap draw.
 
-* ``engine="frontier"`` (default) — the level-synchronous builder of
-  :func:`repro.learning.engine.grow_frontier`: one flat histogram pass
-  per level over the whole frontier of open nodes, no recursion (deep
-  chain-shaped trees cannot hit the recursion limit).
-* ``engine="recursive"`` — the original depth-first reference, kept as
-  the oracle for the differential suite in
-  ``tests/test_learning_engine.py``.
-
-Both draw each node's candidate-feature subset from a per-node
-generator keyed on the node's heap path
-(:func:`repro.learning.engine.candidate_features`), so the trees they
-grow do not depend on traversal order.
+Each node draws its candidate-feature subset from a per-node generator
+keyed on its heap path (:func:`repro.learning.engine.candidate_features`),
+so the grown tree does not depend on traversal order: the depth-first
+reference grower in ``tests/learning_oracle.py`` grows the same tree.
 
 The API follows the scikit-learn conventions the paper's flow relies on:
 ``fit(X, y)`` / ``predict(X)`` / ``predict_proba(X)``.
@@ -27,13 +26,11 @@ The API follows the scikit-learn conventions the paper's flow relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
-from repro.learning.engine import candidate_features, grow_frontier
-
-GROWTH_ENGINES = ("frontier", "recursive")
+from repro.learning.engine import grow_frontier
 
 
 @dataclass
@@ -60,13 +57,7 @@ class DecisionTreeClassifier:
         min_samples_leaf: int = 1,
         max_features: Optional[object] = None,
         random_state: Optional[int] = None,
-        engine: str = "frontier",
     ) -> None:
-        if engine not in GROWTH_ENGINES:
-            raise ValueError(
-                f"unknown growth engine {engine!r}; expected one of "
-                f"{', '.join(GROWTH_ENGINES)}"
-            )
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         self.max_depth = max_depth
@@ -74,17 +65,36 @@ class DecisionTreeClassifier:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.engine = engine
         self._nodes: List[_Node] = []
         self.classes_: Optional[np.ndarray] = None
         self.n_features_: int = 0
 
     # ------------------------------------------------------------------
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
+    def fit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+    ) -> "DecisionTreeClassifier":
         X = np.asarray(X)
         y = np.asarray(y)
         if X.ndim != 2 or len(X) != len(y):
             raise ValueError("X must be 2-D and aligned with y")
+        if sample_weight is None:
+            weights = np.ones(len(y), dtype=np.int64)
+        else:
+            weights = np.asarray(sample_weight)
+            if weights.shape != (len(y),) or weights.dtype.kind not in "iu":
+                raise ValueError(
+                    "sample_weight must be integer multiplicities aligned with y"
+                )
+            if (weights < 0).any():
+                raise ValueError("sample_weight must be non-negative")
+            # A row drawn zero times is not in the sample: dropping it
+            # keeps classes_ and every column's value range exactly
+            # those of the materialized resample.
+            drawn = weights > 0
+            X, y, weights = X[drawn], y[drawn], weights[drawn]
         if len(y) == 0:
             raise ValueError("cannot fit on an empty dataset")
         self.classes_, encoded = np.unique(y, return_inverse=True)
@@ -94,31 +104,27 @@ class DecisionTreeClassifier:
         # per-node candidate draw derives from (None stays entropic).
         seed_rng = np.random.default_rng(self.random_state)
         self._base_seed = int(seed_rng.integers(0, 2**63 - 1))
-        labels = encoded.astype(np.int64)
-        if self.engine == "recursive":
-            self._nodes = []
-            self._grow(X, labels, np.arange(len(y)), depth=0, path_key=1)
-        else:
-            records = grow_frontier(
-                X,
-                labels,
-                self._n_classes,
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                n_candidates=self._n_candidate_features(),
-                base_seed=self._base_seed,
+        records = grow_frontier(
+            X,
+            encoded.astype(np.int64),
+            self._n_classes,
+            max_depth=self.max_depth,
+            min_samples_split=self.min_samples_split,
+            min_samples_leaf=self.min_samples_leaf,
+            n_candidates=self._n_candidate_features(),
+            base_seed=self._base_seed,
+            weights=weights,
+        )
+        self._nodes = [
+            _Node(
+                feature=feature,
+                threshold=threshold,
+                left=left,
+                right=right,
+                counts=counts,
             )
-            self._nodes = [
-                _Node(
-                    feature=feature,
-                    threshold=threshold,
-                    left=left,
-                    right=right,
-                    counts=counts,
-                )
-                for feature, threshold, left, right, counts in records
-            ]
+            for feature, threshold, left, right, counts in records
+        ]
         self._pack()
         return self
 
@@ -141,93 +147,6 @@ class DecisionTreeClassifier:
         if isinstance(self.max_features, float):
             return max(1, int(self.max_features * self.n_features_))
         return min(self.n_features_, int(self.max_features))
-
-    def _grow(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        index: np.ndarray,
-        depth: int,
-        path_key: int = 1,
-    ) -> int:
-        node_id = len(self._nodes)
-        node = _Node()
-        self._nodes.append(node)
-        labels = y[index]
-        counts = np.bincount(labels, minlength=self._n_classes).astype(np.float64)
-        node.counts = counts
-
-        if (
-            len(index) < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or counts.max() == counts.sum()
-        ):
-            return node_id
-
-        split = self._best_split(X, y, index, path_key)
-        if split is None:
-            return node_id
-        feature, threshold = split
-        mask = X[index, feature] <= threshold
-        left_index = index[mask]
-        right_index = index[~mask]
-        if len(left_index) < self.min_samples_leaf or len(right_index) < self.min_samples_leaf:
-            return node_id
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X, y, left_index, depth + 1, 2 * path_key)
-        node.right = self._grow(X, y, right_index, depth + 1, 2 * path_key + 1)
-        return node_id
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, index: np.ndarray, path_key: int
-    ) -> Optional[Tuple[int, float]]:
-        n = len(index)
-        labels = y[index]
-        candidates = candidate_features(
-            self._base_seed,
-            path_key,
-            self.n_features_,
-            self._n_candidate_features(),
-        )
-        best_score = np.inf
-        best: Optional[Tuple[int, float]] = None
-        min_leaf = self.min_samples_leaf
-        for feature in candidates:
-            column = X[index, feature].astype(np.int64)
-            low = column.min()
-            span = int(column.max() - low)
-            if span == 0:
-                continue
-            shifted = column - low
-            # per-value class histogram in one bincount
-            flat = shifted * self._n_classes + labels
-            histogram = np.bincount(
-                flat, minlength=(span + 1) * self._n_classes
-            ).reshape(span + 1, self._n_classes)
-            prefix = histogram.cumsum(axis=0)[:-1]  # candidate left partitions
-            left_totals = prefix.sum(axis=1)
-            right_totals = n - left_totals
-            valid = (left_totals >= min_leaf) & (right_totals >= min_leaf)
-            if not valid.any():
-                continue
-            total = prefix[-1] + histogram[-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_left = 1.0 - ((prefix / left_totals[:, None]) ** 2).sum(axis=1)
-                right_counts = total[None, :] - prefix
-                gini_right = 1.0 - (
-                    (right_counts / right_totals[:, None]) ** 2
-                ).sum(axis=1)
-            weighted = (left_totals * gini_left + right_totals * gini_right) / n
-            weighted[~valid] = np.inf
-            k = int(np.argmin(weighted))
-            if weighted[k] < best_score:
-                best_score = weighted[k]
-                best = (int(feature), float(low + k + 0.5))
-        # Zero-gain splits are allowed (XOR-style regions need them to make
-        # progress); termination is guaranteed because both sides of a
-        # valid split are non-empty.
-        return best
 
     # ------------------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

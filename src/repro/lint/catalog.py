@@ -101,6 +101,8 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # frontier-batched forest engine (repro.learning.engine)
         "learning.fit.seconds",
         "learning.frontier_nodes",
+        "learning.fit_rows",
+        "learning.fit_unique_rows",
         "learning.packed_lanes",
         # per-cell lease files of the worker service (repro.service.lease)
         "lease.claims",

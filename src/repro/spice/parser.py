@@ -57,10 +57,15 @@ def parse_value(text: str) -> float:
     return base
 
 
-def _logical_lines(text: str) -> List[str]:
-    """Strip comments and join ``+`` continuations."""
+def _numbered_lines(text: str) -> Tuple[List[int], List[str]]:
+    """Strip comments and join ``+`` continuations.
+
+    Returns the logical lines and, aligned with them, the 1-based source
+    line each one starts on, so errors can point at the text as written.
+    """
+    numbers: List[int] = []
     lines: List[str] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("$", 1)[0].split(";", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -69,11 +74,19 @@ def _logical_lines(text: str) -> List[str]:
             continue
         if stripped.startswith("+"):
             if not lines:
-                raise SpiceSyntaxError("continuation line with nothing to continue")
+                raise SpiceSyntaxError(
+                    f"continuation line with nothing to continue at line {number}"
+                )
             lines[-1] += " " + stripped[1:]
         else:
+            numbers.append(number)
             lines.append(stripped)
-    return lines
+    return numbers, lines
+
+
+def _logical_lines(text: str) -> List[str]:
+    """Logical lines without their source line numbers."""
+    return _numbered_lines(text)[1]
 
 
 def _split_params(tokens: Sequence[str]) -> Tuple[List[str], Dict[str, str]]:
@@ -112,7 +125,7 @@ def parse_library(
     (everything else).  Standard-cell netlists follow this convention
     reliably; anything ambiguous raises.
     """
-    lines = _logical_lines(text)
+    numbers, lines = _numbered_lines(text)
     cells: List[CellNetlist] = []
     i = 0
     while i < len(lines):
@@ -123,9 +136,11 @@ def parse_library(
             while j < len(lines) and not lines[j].upper().startswith(".ENDS"):
                 j += 1
             if j >= len(lines):
-                raise SpiceSyntaxError(f"unterminated .SUBCKT at line {i}")
+                raise SpiceSyntaxError(f"unterminated .SUBCKT at line {numbers[i]}")
             cells.append(
-                _parse_subckt(lines[i], lines[i + 1 : j], technology, power, ground)
+                _parse_subckt(
+                    line, numbers[i], lines[i + 1 : j], technology, power, ground
+                )
             )
             i = j + 1
         else:
@@ -143,6 +158,7 @@ def parse_cell(text: str, technology: str = "", **kw) -> CellNetlist:
 
 def _parse_subckt(
     header: str,
+    number: int,
     body: Sequence[str],
     technology: str,
     power: Optional[str],
@@ -150,9 +166,14 @@ def _parse_subckt(
 ) -> CellNetlist:
     tokens = header.split()
     if len(tokens) < 3:
-        raise SpiceSyntaxError(f"malformed .SUBCKT header: {header!r}")
+        raise SpiceSyntaxError(f"malformed .SUBCKT header at line {number}: {header!r}")
     name = tokens[1]
     ports = tokens[2:]
+    if len(set(ports)) != len(ports):
+        repeated = sorted({port for port in ports if ports.count(port) > 1})
+        raise SpiceSyntaxError(
+            f"repeated port {', '.join(repeated)} in .SUBCKT {name} at line {number}"
+        )
 
     transistors: List[Transistor] = []
     for line in body:

@@ -16,6 +16,8 @@ from repro.learning import (
     precision_recall_f1,
 )
 
+from learning_oracle import loop_predict_proba
+
 
 def _separable(n=600, seed=0):
     rng = np.random.default_rng(seed)
@@ -71,8 +73,8 @@ class TestDecisionTree:
     def test_depth_on_degenerate_chain(self):
         """depth() must survive trees far deeper than the recursion limit.
 
-        ``fit`` cannot grow such a tree in-process (``_grow`` itself
-        recurses), so build the node list directly: a left-descending
+        Growing such a tree takes one frontier level per chain link
+        (slow), so build the node list directly: a left-descending
         chain with one leaf hanging off every internal node, the shape a
         pathological ``max_depth=None`` fit degenerates to.
         """
@@ -164,15 +166,20 @@ class TestRandomForest:
         forest = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
         assert np.array_equal(
             forest.predict_proba(X[:100]),
-            forest.predict_proba(X[:100], packed=False),
+            loop_predict_proba(forest, X[:100]),
         )
 
-    def test_engine_knob_forwarded_to_trees(self):
+    def test_tree_params_forwarded_to_trees(self):
         X, y = _separable(200)
         forest = RandomForestClassifier(
-            n_estimators=2, random_state=0, engine="recursive"
+            n_estimators=2, random_state=0, max_depth=3, min_samples_leaf=2,
+            max_features=0.5,
         ).fit(X, y)
-        assert all(t.engine == "recursive" for t in forest.estimators_)
+        for tree in forest.estimators_:
+            assert (tree.max_depth, tree.min_samples_leaf, tree.max_features) == (
+                3, 2, 0.5,
+            )
+            assert tree.depth() <= 3
 
     def test_dispersion_shape(self):
         X, y = _separable(200)

@@ -1,16 +1,20 @@
 """Differential tests: frontier-batched forest engine vs the references.
 
-Three contracts, each against its scalar oracle:
+Four contracts, each against its oracle in ``tests/learning_oracle.py``:
 
-* ``engine="frontier"`` trees are **node-for-node identical** to the
-  recursive reference — same features, thresholds, child links, class
-  counts and DFS-preorder numbering — on synthetic corpora, real
+* Trees grown by ``grow_frontier`` are **node-for-node identical** to
+  the recursive reference -- same features, thresholds, child links,
+  class counts and DFS-preorder numbering -- on synthetic corpora, real
   CA-matrix data, and Hypothesis-generated random integer datasets.
-* ``PackedForest`` inference is bit-for-bit equal to the per-tree loop
-  path (``predict_proba(packed=False)``).
+* A tree grown on unique rows with integer multiplicities, and so every
+  forest tree grown on bootstrap weights, is identical to the reference
+  grown on the materialized resample ``X[index]``.
+* ``PackedForest`` inference is bit-for-bit equal to the per-tree loop.
 * Parallel fits are byte-identical to serial fits (same serialized
   forest), and parallel grid search ranks candidates identically.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from repro.learning import (
     RandomForestClassifier,
     build_samples,
     grid_search,
+    stack_group,
 )
 from repro.learning.engine import candidate_features, grow_frontier
 from repro.learning.persistence import (
@@ -33,6 +38,13 @@ from repro.learning.persistence import (
 )
 from repro.learning.tree import DecisionTreeClassifier
 from repro.library import SOI28, build_cell
+
+from learning_oracle import (
+    RecursiveTree,
+    bootstrap_draws,
+    loop_predict_proba,
+    materialized_forest,
+)
 
 
 def _assert_trees_identical(a, b):
@@ -47,8 +59,8 @@ def _assert_trees_identical(a, b):
 
 
 def _fit_both(X, y, **params):
-    a = DecisionTreeClassifier(engine="recursive", **params).fit(X, y)
-    b = DecisionTreeClassifier(engine="frontier", **params).fit(X, y)
+    a = RecursiveTree(**params).fit(X, y)
+    b = DecisionTreeClassifier(**params).fit(X, y)
     return a, b
 
 
@@ -141,23 +153,20 @@ class TestFrontierEqualsRecursive:
 
     def test_forest_engines_identical(self):
         X, y = _random_dataset(13)
-        a = RandomForestClassifier(
-            n_estimators=5, max_features=0.5, random_state=2,
-            engine="recursive",
-        ).fit(X, y)
+        a = materialized_forest(
+            X, y, n_estimators=5, max_features=0.5, random_state=2
+        )
         b = RandomForestClassifier(
-            n_estimators=5, max_features=0.5, random_state=2,
-            engine="frontier",
+            n_estimators=5, max_features=0.5, random_state=2
         ).fit(X, y)
         assert forest_to_dict(a) == forest_to_dict(b)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(engine="magic")
-        with pytest.raises(ValueError):
-            RandomForestClassifier(engine="magic").fit(
-                np.zeros((4, 2)), np.zeros(4)
-            )
+        # One growth path: the engine knob is gone from the public API.
+        with pytest.raises(TypeError):
+            DecisionTreeClassifier(engine="recursive")
+        with pytest.raises(TypeError):
+            RandomForestClassifier(engine="recursive")
 
     def test_min_samples_leaf_validated(self):
         with pytest.raises(ValueError):
@@ -190,6 +199,199 @@ class TestFrontierEqualsRecursive:
         _assert_trees_identical(a, b)
 
 
+def _assert_forests_identical(weighted, oracle):
+    assert len(weighted.estimators_) == len(oracle.estimators_)
+    for a, b in zip(weighted.estimators_, oracle.estimators_):
+        _assert_trees_identical(a, b)
+    assert forest_to_dict(weighted) == forest_to_dict(oracle)
+
+
+def _duplicated_dataset(seed, n=240, n_features=6, n_values=4, n_classes=3):
+    """Random rows with about half of them exact repeats, like CA groups."""
+    X, y = _random_dataset(seed, n, n_features, n_values, n_classes)
+    rng = np.random.default_rng(seed + 1000)
+    copies = rng.integers(0, n // 2, size=n - n // 2)
+    X[n // 2:], y[n // 2:] = X[copies], y[copies]
+    return X, y
+
+
+class TestWeightedFitEqualsMaterialized:
+    """Trees grown on unique rows with multiplicities vs ``X[index]``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"bootstrap": False}, {"max_samples": 0.4}],
+        ids=["bootstrap", "no_bootstrap", "max_samples"],
+    )
+    def test_forest_bootstrap_modes(self, seed, options):
+        X, y = _duplicated_dataset(seed)
+        params = dict(
+            n_estimators=5, max_features=0.5, random_state=seed, **options
+        )
+        _assert_forests_identical(
+            RandomForestClassifier(**params).fit(X, y),
+            materialized_forest(X, y, **params),
+        )
+
+    @pytest.mark.parametrize("max_depth", [None, 2])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3, 12])
+    def test_forest_depth_and_leaf(self, max_depth, min_samples_leaf):
+        X, y = _duplicated_dataset(31)
+        params = dict(
+            n_estimators=4,
+            max_features=0.5,
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            random_state=3,
+        )
+        _assert_forests_identical(
+            RandomForestClassifier(**params).fit(X, y),
+            materialized_forest(X, y, **params),
+        )
+
+    @pytest.mark.parametrize("min_samples_split", [2, 5, 25])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 4])
+    def test_tree_weights_equal_resample(
+        self, min_samples_split, min_samples_leaf
+    ):
+        X, y = _duplicated_dataset(32)
+        index = np.random.default_rng(5).integers(0, len(y), size=len(y))
+        unique, inverse = np.unique(
+            np.column_stack([X, y]), axis=0, return_inverse=True
+        )
+        weights = np.bincount(inverse.ravel()[index], minlength=len(unique))
+        params = dict(
+            min_samples_split=min_samples_split,
+            min_samples_leaf=min_samples_leaf,
+            max_depth=6,
+            max_features=0.5,
+            random_state=8,
+        )
+        weighted = DecisionTreeClassifier(**params).fit(
+            unique[:, :-1].astype(X.dtype), unique[:, -1], sample_weight=weights
+        )
+        _assert_trees_identical(
+            weighted, RecursiveTree(**params).fit(X[index], y[index])
+        )
+
+    def test_draw_missing_a_class(self):
+        # Three rare classes: small draws routinely miss some, and the
+        # weighted tree must drop their zero-weight rows to agree on
+        # classes_ (and so on the packed alignment).
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 4, size=(30, 5)).astype(np.int8)
+        y = np.concatenate([np.zeros(27, dtype=int), np.array([1, 2, 3])])
+        params = dict(n_estimators=12, random_state=0, max_samples=0.2)
+        weighted = RandomForestClassifier(**params).fit(X, y)
+        assert any(len(t.classes_) < 4 for t in weighted.estimators_)
+        _assert_forests_identical(weighted, materialized_forest(X, y, **params))
+
+    def test_float_features_with_fractions(self):
+        # Histograms bin on truncated integers but routing compares the
+        # raw values, so distinct floats must stay distinct rows.
+        rng = np.random.default_rng(9)
+        X = np.round(rng.normal(scale=2.0, size=(160, 5)), 1)
+        X[80:] = X[rng.integers(0, 80, size=80)]
+        X[:, 2] = np.where(X[:, 2] > 0, 0.25, 0.75)
+        y = (X[:, 0] + X[:, 2] > 0.5).astype(int)
+        y[::7] = 2
+        params = dict(n_estimators=6, max_features=0.6, random_state=4)
+        _assert_forests_identical(
+            RandomForestClassifier(**params).fit(X, y),
+            materialized_forest(X, y, **params),
+        )
+
+    def test_real_ca_matrix_group(self):
+        # One hybrid-flow training group: NAND2 in every flavor.
+        cells = [
+            build_cell(SOI28, "NAND2", 1, flavor) for flavor in SOI28.flavors
+        ]
+        X, y = stack_group(
+            build_samples(
+                [
+                    (c, generate_ca_model(c, params=SOI28.electrical))
+                    for c in cells
+                ],
+                SOI28.electrical,
+            )
+        )
+        assert len(np.unique(np.column_stack([X, y]), axis=0)) < len(y)
+        params = dict(n_estimators=4, max_features=0.5, random_state=1)
+        _assert_forests_identical(
+            RandomForestClassifier(**params).fit(X, y),
+            materialized_forest(X, y, **params),
+        )
+
+    def test_parallel_weighted_fit_matches_oracle(self):
+        X, y = _duplicated_dataset(33)
+        params = dict(n_estimators=5, max_features=0.5, random_state=6)
+        serial = RandomForestClassifier(**params).fit(X, y)
+        pooled = RandomForestClassifier(parallelism=2, **params).fit(X, y)
+        oracle = materialized_forest(X, y, **params)
+        _assert_forests_identical(serial, oracle)
+        _assert_forests_identical(pooled, oracle)
+        assert json.dumps(forest_to_dict(serial)) == json.dumps(
+            forest_to_dict(pooled)
+        )
+
+    def test_fit_counts_rows_and_unique_rows(self):
+        from repro import obs
+        from repro.learning.engine import M_FIT_ROWS, M_FIT_UNIQUE_ROWS
+
+        X, y = _duplicated_dataset(34)
+        n_unique = len(np.unique(np.column_stack([X, y]), axis=0))
+        before = obs.metrics().checkpoint()
+        RandomForestClassifier(n_estimators=3, random_state=0).fit(X, y)
+        delta = obs.metrics().counter_delta(before)
+        assert delta[M_FIT_ROWS] == len(y)
+        assert delta[M_FIT_UNIQUE_ROWS] == n_unique
+
+    def test_sample_weight_validated(self):
+        X, y = _random_dataset(35, n=10)
+        tree = DecisionTreeClassifier()
+        with pytest.raises(ValueError):
+            tree.fit(X, y, sample_weight=np.ones(9, dtype=int))
+        with pytest.raises(ValueError):
+            tree.fit(X, y, sample_weight=np.full(10, 0.5))
+        with pytest.raises(ValueError):
+            tree.fit(X, y, sample_weight=-np.ones(10, dtype=int))
+        with pytest.raises(ValueError):
+            tree.fit(X, y, sample_weight=np.zeros(10, dtype=int))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n=st.integers(1, 120),
+        n_features=st.integers(1, 8),
+        n_values=st.integers(1, 6),
+        n_classes=st.integers(1, 4),
+        max_features=st.sampled_from([None, "sqrt", 0.5]),
+        min_samples_leaf=st.integers(1, 6),
+        bootstrap=st.booleans(),
+        max_samples=st.sampled_from([None, 0.3, 0.8]),
+    )
+    def test_property_weighted_equals_materialized(
+        self, seed, n, n_features, n_values, n_classes, max_features,
+        min_samples_leaf, bootstrap, max_samples,
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, n_values, size=(n, n_features)).astype(np.int16)
+        y = rng.integers(0, n_classes, size=n)
+        params = dict(
+            n_estimators=3,
+            max_features=max_features,
+            min_samples_leaf=min_samples_leaf,
+            bootstrap=bootstrap,
+            max_samples=max_samples,
+            random_state=seed % 1000,
+        )
+        _assert_forests_identical(
+            RandomForestClassifier(**params).fit(X, y),
+            materialized_forest(X, y, **params),
+        )
+
+
 class TestCandidateFeatures:
     def test_traversal_order_independent(self):
         # Same (seed, path) always draws the same subset — the property
@@ -218,6 +420,7 @@ class TestCandidateFeatures:
             min_samples_leaf=1,
             n_candidates=X.shape[1],
             base_seed=99,
+            weights=np.ones(len(y), dtype=np.int64),
         )
         # Preorder: both children of node i come after i, left first.
         for i, (_, _, left, right, _) in enumerate(records):
@@ -236,8 +439,8 @@ class TestPackedForest:
 
     def test_packed_equals_loop_bitwise(self):
         forest, X = self._forest()
-        loop = forest.predict_proba(X, packed=False)
-        fused = forest.predict_proba(X, packed=True)
+        loop = loop_predict_proba(forest, X)
+        fused = forest.predict_proba(X)
         assert np.array_equal(loop, fused)
 
     def test_packed_predict_equals_loop_predict(self):
@@ -245,7 +448,7 @@ class TestPackedForest:
         assert (
             forest.predict(X)
             == forest.classes_[
-                np.argmax(forest.predict_proba(X, packed=False), axis=1)
+                np.argmax(loop_predict_proba(forest, X), axis=1)
             ]
         ).all()
 
@@ -259,8 +462,7 @@ class TestPackedForest:
             n_estimators=12, random_state=0, max_samples=0.2
         ).fit(X, y)
         assert np.array_equal(
-            forest.predict_proba(X, packed=False),
-            forest.predict_proba(X, packed=True),
+            loop_predict_proba(forest, X), forest.predict_proba(X)
         )
 
     def test_dispersion_bounds_and_unanimity(self):

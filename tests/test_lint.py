@@ -396,6 +396,16 @@ def test_catalog_matches_defining_modules():
                     f"{module.__name__}.{attr} = {value!r} missing from "
                     "repro.lint.catalog.EVENT_NAMES"
                 )
+    # The reverse direction for the learning namespace: every
+    # registered learning counter (fit rows, unique rows, frontier
+    # nodes, ...) is still defined by the module that increments it.
+    defined = {
+        getattr(learning_engine, attr)
+        for attr in dir(learning_engine)
+        if attr.startswith("M_")
+    }
+    registered = {name for name in METRIC_NAMES if name.startswith("learning.")}
+    assert registered == defined
 
 
 def test_catalog_names_live_in_registered_namespaces():

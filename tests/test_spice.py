@@ -77,6 +77,28 @@ class TestParser:
         with pytest.raises(SpiceSyntaxError):
             parse_library(".SUBCKT X A Z VDD VSS\nM0 Z A VSS VSS nmos")
 
+    def test_unterminated_subckt_reports_source_line(self):
+        # Comments, blank lines and a finished cell come first: the
+        # error must name the header's 1-based line in the text.
+        text = (
+            "* library\n\n" + NAND2_TEXT
+            + "\n.SUBCKT X A Z VDD VSS\nM0 Z A VSS VSS nmos\n"
+        )
+        header = text.splitlines().index(".SUBCKT X A Z VDD VSS") + 1
+        with pytest.raises(SpiceSyntaxError, match=f"at line {header}$"):
+            parse_library(text)
+
+    def test_repeated_port_rejected_at_parse_time(self):
+        text = (
+            "* NAND2 with a repeated input\n"
+            ".SUBCKT NAND2 A A Y VDD VSS\n"
+            "M0 Y A VSS VSS nmos\n"
+            "M1 Y A VDD VDD pmos\n"
+            ".ENDS\n"
+        )
+        with pytest.raises(SpiceSyntaxError, match="repeated port A .* at line 2"):
+            parse_library(text)
+
     def test_missing_rails(self):
         text = ".SUBCKT X A Z P G\nM0 Z A G G nmos\n.ENDS"
         with pytest.raises(SpiceSyntaxError):
