@@ -16,13 +16,12 @@ a crash (or a concurrent writer) can never leave a torn file behind.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.atomicio import write_atomic
 from repro.camodel.model import CAModel
 from repro.camodel.stats import GenerationStats
 from repro.defects.model import Defect
@@ -34,19 +33,7 @@ FORMAT_VERSION = 1
 def _write_json_atomic(path: Path, payload: Dict) -> None:
     """Serialize *payload* to *path* without ever exposing a torn file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, json.dumps(payload))
 
 
 def model_to_dict(model: CAModel) -> Dict:

@@ -39,10 +39,10 @@ round-trip.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atomicio import write_atomic
 from repro.obs.trace import chrome_payload
 
 OBS_FORMAT = 1
@@ -58,12 +58,7 @@ OUTCOMES = ("ok", "exception", "crash", "timeout", "corrupt-artifact")
 
 
 def _atomic_write(path: Path, payload: Mapping[str, object]) -> None:
-    # Same temp-file + os.replace discipline as the ledger; local copy
-    # because repro.obs must not import repro.camodel (dependency
-    # direction: everything imports obs).
-    tmp = path.parent / f".{path.name}.tmp{os.getpid()}"
-    tmp.write_text(json.dumps(payload, sort_keys=True, default=str))
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(payload, sort_keys=True, default=str))
 
 
 def attempt_shard_name(cell: str, key: str, attempt: int) -> str:

@@ -40,6 +40,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.atomicio import write_atomic
+
 LEDGER_FORMAT = 1
 
 PENDING = "pending"
@@ -56,13 +58,9 @@ class RunDirError(RuntimeError):
 
 
 def _write_json_atomic(path: Path, payload: Mapping) -> None:
-    # Same discipline as repro.camodel.io: serialize next to the target,
-    # then os.replace, so no reader ever sees a torn file.  Imported
-    # lazily to keep this module import-light (generate.py pulls in the
-    # faults sibling at import time).
-    from repro.camodel.io import _write_json_atomic as write
-
-    write(path, dict(payload))
+    # The same bytes repro.camodel.io._write_json_atomic writes.
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, json.dumps(dict(payload)))
 
 
 def content_key(cell_text: str, options: Mapping[str, object]) -> str:

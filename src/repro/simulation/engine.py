@@ -18,9 +18,10 @@ Solved phases are memoized per (final vector, initial vector), which makes
 exhaustive-stimulus characterization cost O(4^n) solves instead of
 O(4^n * patterns).  :meth:`CellSimulator.solve_words` additionally plans a
 whole stimulus set at once: the unique phases still missing from the caches
-are solved in one or two :meth:`~repro.simulation.solver.StaticSolver.solve_batch`
-calls (memoryless first, then the history-dependent survivors), and the
-per-word assembly then runs entirely against warm caches.  When the
+are solved in one or two calls of the vectorized kernel
+(:meth:`~repro.simulation.solver.StaticSolver.solve_batch`: memoryless
+first, then the history-dependent survivors), and the per-word assembly
+then runs entirely against warm caches.  When the
 simulator shares a :class:`~repro.simulation.switchgraph.CellTopology`, the
 caches themselves are shared across defects with signature-equal effects.
 """
@@ -256,11 +257,12 @@ class CellSimulator:
         """Solve a whole stimulus set, batch-planning the missing phases.
 
         Plans the unique phase set once: distinct vectors absent from the
-        memoryless cache go through one vectorized
-        :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call;
-        the history-dependent survivors (words whose base solve used
-        charge retention, or any word under a gate-open defect) go through
-        a second.  Per-word assembly then runs the ordinary scalar path
+        memoryless cache go through one
+        :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call
+        (the vectorized kernel on this simulator's own topology); the
+        history-dependent survivors (words whose base solve used charge
+        retention, or any word under a gate-open defect) go through a
+        second.  Per-word assembly then runs the ordinary scalar path
         against warm caches, so solve/cache-hit counter sequences — and
         results — are identical to calling :meth:`solve_word` in a loop.
 
@@ -578,14 +580,14 @@ def solve_words_across(
 ) -> List[List[Tuple[List[int], List[int]]]]:
     """Solve many simulators' stimulus sets through one packed kernel.
 
-    The cross-cell analogue of :meth:`CellSimulator.solve_words`: instead
-    of one :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call
-    per (cell, defect), the missing phases of *every* task are packed
-    into a handful of multi-topology
-    :func:`~repro.simulation.packed.solve_packed` flushes (windowed at
-    *max_rows* rows), which is where the throughput win at library scale
-    comes from — the per-call NumPy overhead stops scaling with the
-    number of defects.
+    The cross-cell analogue of :meth:`CellSimulator.solve_words`: the
+    same vectorized kernel, but instead of one
+    :meth:`~repro.simulation.solver.StaticSolver.solve_batch` call per
+    (cell, defect), the missing phases of *every* task are packed into a
+    handful of multi-topology :func:`~repro.simulation.packed.solve_packed`
+    flushes (windowed at *max_rows* rows), which is where the throughput
+    win at library scale comes from — the per-call NumPy overhead stops
+    scaling with the number of defects.
 
     Element ``[i][j]`` equals ``tasks[i]`` solving its word ``j`` through
     the ordinary sequential path, **including the cost accounting**:

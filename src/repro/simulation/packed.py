@@ -1,59 +1,48 @@
-"""Cross-topology packed solving: many cells/defects, one NumPy kernel call.
+"""The vectorized switch-level kernel, over one topology or many.
 
-:meth:`~repro.simulation.solver.StaticSolver.solve_batch` vectorizes the
-phases of **one** (cell, defect) switch graph.  At library scale that
-still means hundreds of small kernel calls — one or two per defect — and
-on small cells the fixed per-call NumPy overhead dominates the actual
-arithmetic.  :func:`solve_packed` removes that wall: it takes phase
-batches from **many** solvers (different defects of one cell, different
-cells entirely) and runs them through a single padded kernel.
+:meth:`~repro.simulation.solver.StaticSolver.solve` is the scalar
+reference oracle; this module is the one vectorized implementation of
+the same fixed point.  :meth:`~repro.simulation.solver.StaticSolver.solve_batch`
+runs it over the phases of **one** (cell, defect) switch graph;
+:func:`solve_packed` runs phase batches from **many** solvers (defects
+of one cell, different cells entirely) in a single call, which removes
+the per-defect calls whose fixed NumPy overhead dominates the
+arithmetic on small cells at library scale.
 
 Mechanics
 ---------
-Every distinct solver becomes one *topology slot*: its index arrays
-(device gates, neighbour tables, fixed nodes, …) are padded to the
-maximum node/device/degree count across the pack and stacked along a
-leading slot axis.  Every requested phase becomes one *row* carrying the
-slot index of its topology; per-step gathers (``stacked[topo_idx]``)
-give each row its own graph.  Rows then iterate exactly like
-``solve_batch``: per-row convergence dropout, Bryant off/on envelopes as
-two sub-resolves, min-label propagation for connected components, and a
-scalar exact-Laplacian fallback for the rare contended components.
-
-Padding is inert by construction:
-
-* one extra **scrap node** (shared column ``N-1``) absorbs the padded
-  slots of source/seed scatter tables; it is isolated, unobservable, and
-  pinned to ``X`` after initialization, so it can never delay a row's
-  convergence;
-* padded **device** columns read their gate from the row's ground rail
-  and map ``0`` to OFF, so they never conduct and never go unknown;
-* padded **fixed-node** columns alias the ground rail with value 0, so
-  they re-assert a boundary fact that is already true.
+Every solver caches a one-slot *topology* (device gates, neighbour
+tables, fixed nodes, … plus one scrap node column) whose tables
+broadcast over all rows of a call.  A pack pads several cached slots to
+the widest and stacks them; each row gathers its own slot's tables.
+All rows iterate together with per-row convergence dropout: device
+conduction, the Bryant off/on envelopes as two resolves (min-label
+propagation for connected components), and the exact scalar Laplacian
+solve only for the rare contended components.  Padding is inert (see
+:meth:`_PackedTopo.pack`).
 
 Identity guarantee
 ------------------
 ``solve_packed(requests)[i][j]`` equals
 ``requests[i].solver.solve(requests[i].vectors[j], ...)`` exactly —
-codes and retention flag — for the same reason ``solve_batch`` does: all
-logic-level work is integer, per-row iteration counts match the scalar
-path, and contention (the only float arithmetic) is delegated to the
-same scalar :meth:`~repro.simulation.solver.StaticSolver._solve_contention`.
-The per-solver resolve-row memo (``_resolve_cache``) is keyed on the
-*trimmed* (conduction mask, source values) pair, byte-compatible with
-the keys ``solve_batch`` writes, so packed and per-cell calls share one
-cache.
+codes and retention flag: all logic-level work is integer, per-row
+iteration counts match the scalar path, and contention (the only float
+arithmetic) is delegated to the same scalar
+:meth:`~repro.simulation.solver.StaticSolver._solve_contention`.  Each
+solver memoizes resolve rows in its ``_resolve_cache`` under keys that
+:func:`_resolve_keys` alone builds, independent of what a solver was
+packed with, so per-cell and packed calls read and warm one cache.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.simulation.solver import (
-    CONTENDED,
     FLOAT,
     MAX_ITERATIONS,
     OFF,
@@ -64,6 +53,8 @@ from repro.simulation.solver import (
     X,
 )
 
+#: internal resolve sentinel: component sees both rails (contention)
+CONTENDED = -3
 
 #: padding-waste accounting of the packed kernel (registered in
 #: repro.lint.catalog): total row×column slots each call allocates, and
@@ -80,250 +71,319 @@ class PackedRequest(NamedTuple):
     prevs: Optional[Sequence[Optional[Sequence[int]]]] = None
 
 
-class _PackedTopo:
-    """Stacked, padded per-solver index arrays (one slot per solver).
+def _filled(shape: Tuple[int, int], value: int) -> np.ndarray:
+    """``np.full(shape, value, int16)`` without its Python-level overhead."""
+    out = np.empty(shape, dtype=np.int16)
+    out.fill(value)
+    return out
 
-    Shapes: ``S`` solvers, ``N`` node columns (max nodes + 1 scrap),
-    ``D`` device columns, ``E = D + max_static + 1`` edge slots (device
-    channels, then static edges, then one never-active padding edge).
+
+class _PackedTopo:
+    """Index arrays of one or more switch graphs, one *slot* per graph.
+
+    A one-slot topology (what each solver caches) stores every table
+    without a slot axis, so the tables broadcast over all rows of a
+    call.  A pack of ``S`` slots stacks padded tables along a leading
+    slot axis, and rows gather theirs.  ``N`` node columns (max nodes +
+    1 scrap), ``D`` device columns, ``E = D + max_static + 1`` edge slots
+    (device channels, then static edges, then one never-active padding
+    edge).  ``fixed_nodes`` lists power, ground, then the sources.
     """
 
-    def __init__(self, solvers: Sequence[StaticSolver]):
-        bas = [s._batch_arrays() for s in solvers]
-        graphs = [s.graph for s in solvers]
-        self.solvers = list(solvers)
-        S = len(solvers)
-        self.n_nodes = np.array([g.n_nodes for g in graphs], dtype=np.intp)
-        self.n_devices = np.array([ba.n_devices for ba in bas], dtype=np.intp)
-        self.n_inputs = np.array(
-            [len(g.source_nodes) for g in graphs], dtype=np.intp
+    n_nodes: np.ndarray  # (S,) real node count of each slot
+    N: int
+    D: int
+    any_open: bool
+    dev_gate: np.ndarray  # ([S,] D) gate node of each device column
+    on_if_1: np.ndarray  # ([S,] D) conduction when the gate is 1
+    on_if_0: np.ndarray  # ([S,] D) conduction when the gate is 0
+    is_open: np.ndarray  # ([S,] D) gate-open device columns
+    observable: np.ndarray  # ([S,] N) nets whose retention is read
+    fixed_nodes: np.ndarray  # ([S,] 2 + inputs)
+    seed_pins: np.ndarray  # ([S,] seeds) pins pre-seeded ...
+    seed_srcs: np.ndarray  # ... from these source nodes
+    static_active: np.ndarray  # ([S,] max_static) real static edges
+    key_dims: List[Tuple[int, int]]  # (devices, inputs) of each slot
+    slot_node: np.ndarray  # ([S,] N, max_deg) neighbour of each slot
+    slot_edge: np.ndarray  # ([S,] N, max_deg) edge of each slot
+
+    @classmethod
+    def of(cls, solver: StaticSolver) -> "_PackedTopo":
+        """The one-slot topology of *solver*."""
+        graph = solver.graph
+        devices = graph.devices
+        pk = cls()
+        pk.n_nodes = np.array([graph.n_nodes], dtype=np.intp)
+        pk.N, pk.D = graph.n_nodes + 1, len(devices)
+        pk.any_open = any(dev.gate_open for dev in devices)
+        pk.dev_gate = np.array([dev.gate for dev in devices], dtype=np.intp)
+        nmos = np.array([dev.is_nmos for dev in devices], dtype=bool)
+        pk.on_if_1 = np.where(nmos, ON, OFF).astype(np.int16)
+        pk.on_if_0 = np.where(nmos, OFF, ON).astype(np.int16)
+        pk.is_open = np.array([dev.gate_open for dev in devices], dtype=bool)
+        pk.observable = np.array(solver._observable + [False], dtype=bool)
+        pk.fixed_nodes = np.array(
+            [graph.power, graph.ground] + list(graph.source_nodes), dtype=np.intp
         )
-        N = int(self.n_nodes.max()) + 1  # + scrap column
-        D = int(self.n_devices.max()) if S else 0
-        max_static = max(ba.n_static for ba in bas)
-        max_deg = max(ba.slot_node.shape[1] for ba in bas)
-        max_in = int(self.n_inputs.max())
-        max_fixed = 2 + max_in
-        max_seed = max(ba.seed_pins.size for ba in bas)
-        self.N, self.D = N, D
-        self.E = D + max_static + 1
-        self.scrap = N - 1
+        seeds = np.array(solver._seedable_pins, dtype=np.intp).reshape(-1, 2)
+        pk.seed_pins, pk.seed_srcs = seeds[:, 0].copy(), seeds[:, 1].copy()
+        pk.static_active = np.ones(len(graph.static_edges), dtype=bool)
+        pk.key_dims = [(len(devices), len(graph.source_nodes))]
 
-        self.power = np.array([g.power for g in graphs], dtype=np.intp)
-        self.ground = np.array([g.ground for g in graphs], dtype=np.intp)
+        # Neighbour tables padded to the maximum degree, so label
+        # propagation needs only gathers.  Padding slots point the node
+        # back at itself through the never-active padding edge.
+        endpoints = [(dev.drain, dev.source) for dev in devices]
+        endpoints += [(a, b) for a, b, _g in graph.static_edges]
+        incident: List[List[Tuple[int, int]]] = [[] for _ in range(pk.N)]
+        for edge, (a, b) in enumerate(endpoints):
+            if a != b:  # self-edges never merge anything
+                incident[a].append((edge, b))
+                incident[b].append((edge, a))
+        max_deg, pad = max(map(len, incident)) or 1, len(endpoints)
+        table = np.array(
+            [s + [(pad, node)] * (max_deg - len(s)) for node, s in enumerate(incident)],
+            dtype=np.intp,
+        )
+        pk.slot_edge = table[:, :, 0].copy()
+        pk.slot_node = table[:, :, 1].copy()
+        return pk
 
-        # Devices: padded columns gate on the ground rail (always 0) and
-        # map 0 -> OFF, so they never conduct and never go unknown.
-        self.dev_gate = np.empty((S, D), dtype=np.intp)
-        self.on_if_1 = np.full((S, D), OFF, dtype=np.int16)
-        self.on_if_0 = np.full((S, D), OFF, dtype=np.int16)
-        self.is_open = np.zeros((S, D), dtype=bool)
-        self.observable = np.zeros((S, N), dtype=bool)
-        self.src_nodes = np.full((S, max_in), self.scrap, dtype=np.intp)
-        self.fixed_nodes = np.empty((S, max_fixed), dtype=np.intp)
-        self.seed_pins = np.full((S, max_seed), self.scrap, dtype=np.intp)
-        self.seed_srcs = np.full((S, max_seed), self.scrap, dtype=np.intp)
-        self.static_active = np.zeros((S, max_static), dtype=bool)
-        self.slot_node = np.empty((S, N, max_deg), dtype=np.intp)
-        self.slot_edge = np.full((S, N, max_deg), self.E - 1, dtype=np.intp)
-        self.any_open = np.zeros(S, dtype=bool)
+    @classmethod
+    def pack(cls, slots: Sequence["_PackedTopo"]) -> "_PackedTopo":
+        """Pad one-slot topologies to a common shape and stack them.
 
-        for s, (ba, graph) in enumerate(zip(bas, graphs)):
-            d = ba.n_devices
-            self.dev_gate[s, :d] = ba.dev_gate
-            self.dev_gate[s, d:] = graph.ground
-            self.on_if_1[s, :d] = ba.on_if_1
-            self.on_if_0[s, :d] = ba.on_if_0
-            self.is_open[s, ba.open_cols] = True
-            self.any_open[s] = bool(ba.open_cols.size)
-            self.observable[s, : ba.observable.size] = ba.observable
-            self.src_nodes[s, : ba.source_nodes.size] = ba.source_nodes
-            self.fixed_nodes[s] = graph.ground  # padding re-asserts ground=0
-            self.fixed_nodes[s, : ba.fixed_nodes.size] = ba.fixed_nodes
-            self.seed_pins[s, : ba.seed_pins.size] = ba.seed_pins
-            self.seed_srcs[s, : ba.seed_srcs.size] = ba.seed_srcs
-            self.static_active[s, : ba.n_static] = True
-            # Remap this solver's edge indices into the packed edge space:
+        Padding is inert: padded device columns gate on the ground rail
+        (always 0) and map 0 to OFF, padded fixed-node columns alias
+        ground, and padded seed slots point at the scrap node.
+        """
+        if len(slots) == 1:
+            return slots[0]
+        pk = cls()
+        pk.n_nodes = np.concatenate([slot.n_nodes for slot in slots])
+        pk.N = int(pk.n_nodes.max()) + 1
+        pk.D = max(slot.D for slot in slots)
+        pk.any_open = any(slot.any_open for slot in slots)
+        pk.key_dims = [slot.key_dims[0] for slot in slots]
+        grounds = np.array([slot.fixed_nodes[1] for slot in slots])
+
+        def stacked(name: str, fill, width: Optional[int] = None) -> np.ndarray:
+            """The slots' *name* tables, padded with *fill* (a scalar or
+            one value per slot) to *width* (default: the widest)."""
+            rows = [getattr(slot, name) for slot in slots]
+            width = width or max(row.size for row in rows)
+            out = np.empty((len(rows), width), dtype=rows[0].dtype)
+            out[...] = np.reshape(fill, (-1, 1))
+            for s, row in enumerate(rows):
+                out[s, : row.size] = row
+            return out
+
+        pk.dev_gate = stacked("dev_gate", grounds, pk.D)
+        pk.on_if_1 = stacked("on_if_1", OFF, pk.D)
+        pk.on_if_0 = stacked("on_if_0", OFF, pk.D)
+        pk.is_open = stacked("is_open", False, pk.D)
+        pk.observable = stacked("observable", False, pk.N)
+        pk.fixed_nodes = stacked("fixed_nodes", grounds)
+        pk.seed_pins = stacked("seed_pins", pk.N - 1)
+        pk.seed_srcs = stacked("seed_srcs", pk.N - 1)
+        pk.static_active = stacked("static_active", False)
+        E = pk.D + pk.static_active.shape[1] + 1
+        max_deg = max(slot.slot_node.shape[1] for slot in slots)
+        pk.slot_node = np.empty((len(slots), pk.N, max_deg), dtype=np.intp)
+        pk.slot_node[...] = np.arange(pk.N)[:, None]
+        pk.slot_edge = np.full((len(slots), pk.N, max_deg), E - 1, dtype=np.intp)
+        for s, slot in enumerate(slots):
+            # Remap the slot's edge indices into the packed edge space:
             # devices keep their column, static edge j -> D + j, and the
-            # solver's own padding edge (index d + n_static) -> E - 1.
-            n = graph.n_nodes
-            node_tab = np.broadcast_to(
-                np.arange(N)[:, None], (N, max_deg)
-            ).copy()
-            edge_tab = np.full((N, max_deg), self.E - 1, dtype=np.intp)
-            deg = ba.slot_node.shape[1]
-            src_edges = ba.slot_edge
-            remapped = np.where(
-                src_edges < d,
-                src_edges,
-                np.where(
-                    src_edges < d + ba.n_static,
-                    src_edges - d + D,
-                    self.E - 1,
-                ),
+            # slot's own padding edge -> E - 1.
+            d, n_static = slot.D, slot.static_active.size
+            n, deg = int(slot.n_nodes[0]), slot.slot_node.shape[1]
+            edges = slot.slot_edge[:n]
+            pk.slot_node[s, :n, :deg] = slot.slot_node[:n]
+            pk.slot_edge[s, :n, :deg] = np.where(
+                edges < d, edges, np.where(edges < d + n_static, edges - d + pk.D, E - 1)
             )
-            edge_tab[:n, :deg] = remapped
-            node_tab[:n, :deg] = ba.slot_node
-            # A solver's padding slots point the node back at itself; keep
-            # that (node_tab already holds slot_node verbatim).
-            self.slot_node[s] = node_tab
-            self.slot_edge[s] = edge_tab
+        return pk
 
 
-def _resolve_packed_rows(
-    pk: _PackedTopo,
-    conducting: np.ndarray,
-    src_vals: np.ndarray,
-    topo_idx: np.ndarray,
+class _Rows(NamedTuple):
+    """The rows of one kernel call and the slot each row runs on.
+
+    ``solvers[s]`` owns slot ``s`` of topology ``pk``.  ``topo_idx`` is
+    ``None`` on a one-slot topology: every row shares the tables, which
+    broadcast.  Otherwise rows gather their slot's.
+    """
+
+    pk: _PackedTopo
+    solvers: List[StaticSolver]
+    topo_idx: Optional[np.ndarray]
+
+    def sub(self, index: np.ndarray) -> "_Rows":
+        """The view of the rows selected by *index*."""
+        if self.topo_idx is None:
+            return self
+        return _Rows(self.pk, self.solvers, self.topo_idx[index])
+
+    def slots(self, batch: int) -> List[int]:
+        """The slot of each of the *batch* rows."""
+        if self.topo_idx is None:
+            return [0] * batch
+        return self.topo_idx.tolist()
+
+    def table(self, stacked: np.ndarray) -> np.ndarray:
+        """Each row's entry of a per-slot table (broadcastable)."""
+        return stacked if self.topo_idx is None else stacked[self.topo_idx]
+
+    def at(self, stacked: np.ndarray) -> tuple:
+        """Index of ``[b, columns[b, ...]]`` for every row ``b``, where
+        ``columns`` is the row's entry of the per-slot column table
+        *stacked*: one per-row gather, or scatter."""
+        if self.topo_idx is None:
+            return (slice(None), stacked)
+        columns = stacked[self.topo_idx]
+        rows = np.arange(len(columns)).reshape((-1,) + (1,) * (columns.ndim - 1))
+        return (rows, columns)
+
+
+def _resolve_keys(
+    view: _Rows, conducting: np.ndarray, fixed_vals: np.ndarray
+) -> List[bytes]:
+    """The resolve-memo key of every row.
+
+    A resolve row is a pure function of (conduction mask, source values):
+    the key is the uint8 conduction mask over the row's own devices, then
+    its uint8 source values — padding columns excluded, so a solver's key
+    does not depend on what it was packed with.
+    """
+    cond, srcs = conducting.tobytes(), fixed_vals[:, 2:].tobytes()
+    D, M = conducting.shape[1], fixed_vals.shape[1] - 2
+    if view.topo_idx is None:
+        return [
+            cond[b * D : (b + 1) * D] + srcs[b * M : (b + 1) * M]
+            for b in range(len(conducting))
+        ]
+    dims = view.pk.key_dims
+    return [
+        cond[b * D : b * D + dims[t][0]] + srcs[b * M : b * M + dims[t][1]]
+        for b, t in enumerate(view.topo_idx.tolist())
+    ]
+
+
+def _resolve_rows(
+    view: _Rows, conducting: np.ndarray, fixed_vals: np.ndarray
 ) -> np.ndarray:
-    """Vectorized resolve of one unknown-extreme across topologies."""
-    batch = conducting.shape[0]
-    N = pk.N
-    rows = np.arange(batch)
-    edge_active = np.concatenate(
-        [
-            conducting,
-            pk.static_active[topo_idx],
-            np.zeros((batch, 1), dtype=bool),
-        ],
-        axis=1,
-    )
-    slot_edge = pk.slot_edge[topo_idx]  # batch x N x deg
-    slot_node = pk.slot_node[topo_idx]
-    act_slots = edge_active[rows[:, None, None], slot_edge]
+    """Vectorized :meth:`StaticSolver._resolve` for one unknown-extreme.
+
+    Connected components are found with min-label propagation over the
+    padded per-node neighbour tables (gathers only — no scatter), with
+    pointer-jumping compression; stability implies every active edge
+    joins equal labels, i.e. labels are constant per component.
+    """
+    pk = view.pk
+    batch, N = conducting.shape[0], pk.N
+    E = pk.D + pk.static_active.shape[-1] + 1  # + the padding edge
+    edge_active = np.zeros((batch, E), dtype=bool)
+    edge_active[:, : pk.D] = conducting
+    edge_active[:, pk.D : -1] = view.table(pk.static_active)
+    act_slots = edge_active[view.at(pk.slot_edge)]
+    neighbours = view.at(pk.slot_node)
     labels = np.broadcast_to(np.arange(N), (batch, N)).copy()
     while True:
-        neighbour = labels[rows[:, None, None], slot_node]
-        neighbour = np.where(act_slots, neighbour, N)
+        neighbour = np.where(act_slots, labels[neighbours], N)
         new = np.minimum(labels, neighbour.min(axis=2))
         new = np.take_along_axis(new, new, axis=1)  # pointer jumping
         if np.array_equal(new, labels):
             break
         labels = new
 
-    fnodes = pk.fixed_nodes[topo_idx]  # batch x max_fixed
-    max_fixed = fnodes.shape[1]
-    fixed_vals = np.zeros((batch, max_fixed), dtype=np.int16)
-    fixed_vals[:, 0] = 1  # power rail
-    fixed_vals[:, 2:] = src_vals  # padded sources carry 0 (alias ground)
-    has1 = np.zeros((batch, N), dtype=bool)
-    has0 = np.zeros((batch, N), dtype=bool)
-    for j in range(max_fixed):
-        root = labels[rows, fnodes[:, j]]
-        has1[rows, root] |= fixed_vals[:, j] == 1
-        has0[rows, root] |= fixed_vals[:, j] == 0
-    root1 = np.take_along_axis(has1, labels, axis=1)
-    root0 = np.take_along_axis(has0, labels, axis=1)
-    result = np.where(
-        root1 & root0,
-        CONTENDED,
-        np.where(root1, 1, np.where(root0, 0, FLOAT)),
-    ).astype(np.int16)
+    # A node sees rail value v when its component holds a fixed node at v.
+    roots = labels[view.at(pk.fixed_nodes)]
+    member = labels[:, :, None] == roots[:, None, :]
+    root1 = (member & (fixed_vals == 1)[:, None, :]).any(axis=2)
+    root0 = (member & (fixed_vals == 0)[:, None, :]).any(axis=2)
+    driven = np.where(root1, 1, np.where(root0, 0, FLOAT))
+    result = np.where(root1 & root0, CONTENDED, driven).astype(np.int16)
 
-    contended_rows = np.where((result == CONTENDED).any(axis=1))[0]
-    for b in contended_rows:
-        solver = pk.solvers[int(topo_idx[b])]
+    slots = view.slots(batch)
+    for b in (result == CONTENDED).any(axis=1).nonzero()[0]:
+        solver = view.solvers[slots[b]]
         graph = solver.graph
-        fixed = {graph.power: 1, graph.ground: 0}
-        for i, node in enumerate(graph.source_nodes):
-            fixed[node] = int(src_vals[b, i])
+        sources = zip(graph.source_nodes, fixed_vals[b, 2:].tolist())
+        fixed = {graph.power: 1, graph.ground: 0, **dict(sources)}
         d = len(graph.devices)
-        conducting_devs = [
-            graph.devices[k] for k in np.where(conducting[b, :d])[0]
-        ]
+        conducting_devs = [graph.devices[k] for k in conducting[b, :d].nonzero()[0]]
         row = result[b]
         for root in np.unique(labels[b][row == CONTENDED]):
-            nodes = np.where(labels[b] == root)[0].tolist()
+            nodes = (labels[b] == root).nonzero()[0].tolist()
             solver._solve_contention(nodes, conducting_devs, fixed, row)
     return result
 
 
-def _resolve_packed(
-    pk: _PackedTopo,
-    conducting: np.ndarray,
-    src_vals: np.ndarray,
-    topo_idx: np.ndarray,
+def _resolve(
+    view: _Rows, conducting: np.ndarray, fixed_vals: np.ndarray
 ) -> np.ndarray:
-    """Memoizing wrapper over :func:`_resolve_packed_rows`.
-
-    Keys are byte-compatible with
-    :meth:`~repro.simulation.solver.StaticSolver._batch_resolve` (the
-    *trimmed* conduction mask and source values), so packed flushes warm
-    the same per-solver cache the per-cell kernel reads.
-    """
+    """Memoizing wrapper over :func:`_resolve_rows`: rows are served from
+    each solver's ``_resolve_cache`` and only the distinct misses go
+    through the vectorized computation."""
+    pk = view.pk
     batch = conducting.shape[0]
-    result = np.full((batch, pk.N), FLOAT, dtype=np.int16)
+    keys = _resolve_keys(view, conducting, fixed_vals)
+    slots = view.slots(batch)
+    caches = [solver._resolve_cache for solver in view.solvers]
+    n_nodes = pk.n_nodes.tolist()
+    result = _filled((batch, pk.N), FLOAT)
     misses: List[int] = []
-    keys: List[Optional[bytes]] = [None] * batch
-    for b in range(batch):
-        t = int(topo_idx[b])
-        solver = pk.solvers[t]
-        d = int(pk.n_devices[t])
-        m = int(pk.n_inputs[t])
-        key = (
-            conducting[b, :d].astype(np.uint8).tobytes()
-            + src_vals[b, :m].astype(np.uint8).tobytes()
-        )
-        cached = solver._resolve_cache.get(key)
-        if cached is not None:
-            result[b, : cached.size] = cached
-        else:
-            keys[b] = key
-            misses.append(b)
+    if view.topo_idx is None:  # one cache and width for every row
+        cache, width = caches[0], n_nodes[0]
+        for b, key in enumerate(keys):
+            cached = cache.get(key)
+            if cached is None:
+                misses.append(b)
+            else:
+                result[b, :width] = cached
+    else:
+        for b, (key, slot) in enumerate(zip(keys, slots)):
+            cached = caches[slot].get(key)
+            if cached is None:
+                misses.append(b)
+            else:
+                result[b, : n_nodes[slot]] = cached
     if misses:
         rows = np.array(misses, dtype=np.intp)
-        solved = _resolve_packed_rows(
-            pk, conducting[rows], src_vals[rows], topo_idx[rows]
-        )
+        solved = _resolve_rows(view.sub(rows), conducting[rows], fixed_vals[rows])
         result[rows] = solved
         for k, b in enumerate(misses):
-            t = int(topo_idx[b])
-            n = int(pk.n_nodes[t])
-            pk.solvers[t]._resolve_cache[keys[b]] = solved[k, :n].copy()
+            caches[slots[b]][keys[b]] = solved[k, : n_nodes[slots[b]]].copy()
     return result
 
 
-def _step_packed(
-    pk: _PackedTopo,
+def _step(
+    view: _Rows,
     codes: np.ndarray,
     prev: np.ndarray,
     has_prev: np.ndarray,
-    src_vals: np.ndarray,
-    topo_idx: np.ndarray,
+    fixed_vals: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One packed fixpoint step (mirrors ``StaticSolver._batch_step``)."""
-    batch = codes.shape[0]
-    rows = np.arange(batch)
-    if pk.D:
-        dev_gate = pk.dev_gate[topo_idx]  # batch x D
-        gate_vals = codes[rows[:, None], dev_gate]
-        is_open = pk.is_open[topo_idx]
-        if pk.any_open.any():
-            gate_vals = np.where(
-                is_open, prev[rows[:, None], dev_gate], gate_vals
-            )
-        conduction = np.where(
-            gate_vals == 1,
-            pk.on_if_1[topo_idx],
-            np.where(gate_vals == 0, pk.on_if_0[topo_idx], UNKNOWN),
-        )
-        if pk.any_open.any() and not has_prev.all():
-            # A gate-open device with no history is non-conducting.
-            conduction = np.where(
-                is_open & ~has_prev[:, None], OFF, conduction
-            )
-    else:  # pragma: no cover - degenerate (no devices anywhere)
-        conduction = np.zeros((batch, 0), dtype=np.int16)
+    """One fixpoint step: vectorized :meth:`StaticSolver._step`."""
+    pk = view.pk
+    gates = view.at(pk.dev_gate)
+    gate_vals = codes[gates]
+    if pk.any_open:
+        # A gate-open device lags one pattern behind (trapped charge).
+        is_open = view.table(pk.is_open)
+        gate_vals = np.where(is_open, prev[gates], gate_vals)
+    if_not_1 = np.where(gate_vals == 0, view.table(pk.on_if_0), UNKNOWN)
+    conduction = np.where(gate_vals == 1, view.table(pk.on_if_1), if_not_1)
+    if pk.any_open and not has_prev.all():
+        # A gate-open device with no history is non-conducting.
+        conduction = np.where(is_open & ~has_prev[:, None], OFF, conduction)
 
-    res_off = _resolve_packed(pk, conduction == ON, src_vals, topo_idx)
+    res_off = _resolve(view, conduction == ON, fixed_vals)
     unknown_rows = (conduction == UNKNOWN).any(axis=1)
     if unknown_rows.any():
         res_on = res_off.copy()
-        sub = np.where(unknown_rows)[0]
-        act_on = conduction[sub] != OFF
-        res_on[sub] = _resolve_packed(
-            pk, act_on, src_vals[sub], topo_idx[sub]
-        )
+        sub = unknown_rows.nonzero()[0]
+        res_on[sub] = _resolve(view.sub(sub), conduction[sub] != OFF, fixed_vals[sub])
     else:
         res_on = res_off
 
@@ -338,9 +398,107 @@ def _step_packed(
         np.where(float_off, retained, res_off),
         np.where(one_float, np.where(driven == retained, driven, X), X),
     ).astype(np.int16, copy=False)
-    observable = pk.observable[topo_idx]
+    # _retained() is consulted exactly when an envelope came up FLOAT;
+    # the flag records whether that happened on an observable net.
+    observable = view.table(pk.observable)
     retention = ((float_off | float_on) & observable).any(axis=1)
     return combined, retention
+
+
+def _solve_rows(
+    view: _Rows,
+    fixed_vals: np.ndarray,
+    prev: np.ndarray,
+    has_prev: np.ndarray,
+) -> List[SolveResult]:
+    """Run every row to its fixed point; one :class:`SolveResult` per row."""
+    pk = view.pk
+    batch = len(fixed_vals)
+    codes = _filled((batch, pk.N), X)
+    codes[view.at(pk.fixed_nodes)] = fixed_vals
+    if pk.seed_pins.shape[-1]:
+        seeds = codes[view.at(pk.seed_srcs)]
+        codes[view.at(pk.seed_pins)] = seeds
+    # The scrap column absorbed every padded seed slot; pin it back to X
+    # so it can never perturb a row's convergence count.
+    codes[:, -1] = X
+
+    n_nodes = pk.n_nodes.tolist()
+    n_of_row = [n_nodes[t] for t in view.slots(batch)]
+    results: List[Optional[SolveResult]] = [None] * batch
+    active = np.arange(batch)
+    # Arrays of the rows still iterating; a row leaves once it converges.
+    rows = (codes, prev, has_prev, fixed_vals)
+    for iteration in range(MAX_ITERATIONS + 1):
+        new_codes, retention = _step(view, *rows)
+        if iteration == MAX_ITERATIONS:
+            # Non-convergence (defect-induced feedback): one more step,
+            # anything still changing is unknown — mirrors the scalar path.
+            merged = np.where(rows[0] == new_codes, rows[0], X)
+            for k, g in enumerate(active.tolist()):
+                results[g] = SolveResult(merged[k, : n_of_row[g]].tolist(), True)
+            break
+        converged = (new_codes == rows[0]).all(axis=1)
+        rows = (new_codes,) + rows[1:]
+        if converged.any():
+            done = converged.nonzero()[0]
+            for g, row, used in zip(
+                active[done].tolist(), new_codes[done].tolist(), retention[done].tolist()
+            ):
+                results[g] = SolveResult(row[: n_of_row[g]], used)
+            keep = ~converged
+            if not keep.any():
+                break
+            view, active = view.sub(keep), active[keep]
+            rows = tuple(array[keep] for array in rows)
+    return results  # type: ignore[return-value]
+
+
+def run_kernel(requests: Sequence[PackedRequest]) -> List[List[SolveResult]]:
+    """Solve non-empty *requests* in one kernel call, without metering.
+
+    One distinct solver runs on its cached topology as is; several are
+    padded into one pack.
+    """
+    distinct = {id(req.solver): req.solver for req in requests}
+    slot_of = {key: slot for slot, key in enumerate(distinct)}
+    solvers = list(distinct.values())
+    for solver in solvers:
+        if solver._topo is None:  # built on first use, then cached
+            solver._topo = _PackedTopo.of(solver)
+    pk = _PackedTopo.pack([solver._topo for solver in solvers])
+
+    counts = [len(r.vectors) for r in requests]
+    batch = sum(counts)
+    topo_idx = np.empty(batch, dtype=np.intp)
+    fixed_vals = np.zeros((batch, pk.fixed_nodes.shape[-1]), dtype=np.int8)
+    fixed_vals[:, 0] = 1  # power rail; ground and padded sources carry 0
+    prev = _filled((batch, pk.N), X)
+    has_prev = np.zeros(batch, dtype=bool)
+    offset = 0
+    for req in requests:
+        graph = req.solver.graph
+        n_in = len(graph.source_nodes)
+        vals = np.asarray(req.vectors, dtype=np.int16)
+        if vals.ndim != 2 or vals.shape[1] != n_in:
+            raise ValueError(
+                f"expected {n_in} input values per vector for {graph.cell.name}"
+            )
+        stop = offset + len(req.vectors)
+        topo_idx[offset:stop] = slot_of[id(req.solver)]
+        fixed_vals[offset:stop, 2 : 2 + n_in] = vals
+        if req.prevs is not None:
+            given = [i for i, p in enumerate(req.prevs) if p is not None]
+            if given:
+                rows = offset + np.array(given, dtype=np.intp)
+                prev[rows, : graph.n_nodes] = [req.prevs[i] for i in given]
+                has_prev[rows] = True
+        offset = stop
+
+    view = _Rows(pk, solvers, topo_idx if len(solvers) > 1 else None)
+    flat = _solve_rows(view, fixed_vals, prev, has_prev)
+    ends = itertools.accumulate(counts)
+    return [flat[end - count : end] for count, end in zip(counts, ends)]
 
 
 def solve_packed(
@@ -356,102 +514,14 @@ def solve_packed(
     requests = [r for r in requests if len(r.vectors)]
     if not requests:
         return []
-    solvers: List[StaticSolver] = []
-    slot_of = {}
-    for req in requests:
-        if id(req.solver) not in slot_of:
-            slot_of[id(req.solver)] = len(solvers)
-            solvers.append(req.solver)
-    pk = _PackedTopo(solvers)
-    N = pk.N
-
-    counts = [len(r.vectors) for r in requests]
-    batch = sum(counts)
-    topo_idx = np.empty(batch, dtype=np.intp)
-    max_in = pk.src_nodes.shape[1]
-    src_vals = np.zeros((batch, max_in), dtype=np.int16)
-    prev = np.full((batch, N), X, dtype=np.int16)
-    has_prev = np.zeros(batch, dtype=bool)
-    offset = 0
-    for req in requests:
-        t = slot_of[id(req.solver)]
-        graph = req.solver.graph
-        n_in = len(graph.source_nodes)
-        vals = np.asarray(req.vectors, dtype=np.int16)
-        if vals.ndim != 2 or vals.shape[1] != n_in:
-            raise ValueError(
-                f"expected {n_in} input values per vector for "
-                f"{graph.cell.name}"
-            )
-        stop = offset + len(req.vectors)
-        topo_idx[offset:stop] = t
-        src_vals[offset:stop, :n_in] = vals
-        if req.prevs is not None:
-            for i, p in enumerate(req.prevs):
-                if p is not None:
-                    prev[offset + i, : len(p)] = np.asarray(p, dtype=np.int16)
-                    has_prev[offset + i] = True
-        offset = stop
-
-    rows = np.arange(batch)
-    codes = np.full((batch, N), X, dtype=np.int16)
-    codes[rows, pk.power[topo_idx]] = 1
-    codes[rows, pk.ground[topo_idx]] = 0
-    codes[rows[:, None], pk.src_nodes[topo_idx]] = src_vals
-    if pk.seed_pins.shape[1]:
-        seed_pins = pk.seed_pins[topo_idx]
-        seed_srcs = pk.seed_srcs[topo_idx]
-        codes[rows[:, None], seed_pins] = codes[rows[:, None], seed_srcs]
-    # The scrap column absorbed every padded scatter slot; pin it back to
-    # X so it can never perturb a row's convergence count.
-    codes[:, pk.scrap] = X
-
-    flat: List[Optional[SolveResult]] = [None] * batch
-    n_of_row = pk.n_nodes[topo_idx]
-    # Padding waste of this call: every row spans N columns, but only
-    # its own topology's nodes do real work (the inspect `cache` report
-    # reads these to quantify mixed-size-library packing overhead).
-    obs.metrics().inc(M_KERNEL_SLOTS, float(batch * N))
-    obs.metrics().inc(M_PADDED_SLOTS, float(batch * N - int(n_of_row.sum())))
-    active = rows.copy()
-    for _ in range(MAX_ITERATIONS):
-        new_codes, retention = _step_packed(
-            pk,
-            codes[active],
-            prev[active],
-            has_prev[active],
-            src_vals[active],
-            topo_idx[active],
-        )
-        converged = (new_codes == codes[active]).all(axis=1)
-        for k in np.where(converged)[0]:
-            g = int(active[k])
-            flat[g] = SolveResult(
-                new_codes[k, : n_of_row[g]].tolist(), bool(retention[k])
-            )
-        codes[active] = new_codes
-        active = active[~converged]
-        if active.size == 0:
-            break
-    if active.size:
-        # Non-convergence (defect-induced feedback): one more step,
-        # anything still changing is unknown — mirrors the scalar path.
-        final, _ = _step_packed(
-            pk,
-            codes[active],
-            prev[active],
-            has_prev[active],
-            src_vals[active],
-            topo_idx[active],
-        )
-        merged = np.where(codes[active] == final, codes[active], X)
-        for k, g in enumerate(active):
-            g = int(g)
-            flat[g] = SolveResult(merged[k, : n_of_row[g]].tolist(), True)
-
-    out: List[List[SolveResult]] = []
-    offset = 0
-    for count in counts:
-        out.append(flat[offset : offset + count])  # type: ignore[arg-type]
-        offset += count
+    out = run_kernel(requests)
+    # Padding waste of this call: every row spans the widest topology
+    # plus the scrap column, but only its own nodes do real work (the
+    # inspect `cache` report reads these to quantify mixed-size-library
+    # packing overhead).
+    width = max(r.solver.graph.n_nodes for r in requests) + 1
+    rows = sum(len(r.vectors) for r in requests)
+    used = sum(len(r.vectors) * r.solver.graph.n_nodes for r in requests)
+    obs.metrics().inc(M_KERNEL_SLOTS, float(rows * width))
+    obs.metrics().inc(M_PADDED_SLOTS, float(rows * width - used))
     return out
