@@ -13,7 +13,7 @@ and a syntax error in a linted module must not break the linter).
 the copy against rot: every ``M_*`` constant in
 :mod:`repro.camodel.stats`, :mod:`repro.resilience.runner`,
 :mod:`repro.simulation.engine`, :mod:`repro.simulation.phasecache`,
-:mod:`repro.simulation.packed`, :mod:`repro.camodel.planstore`,
+:mod:`repro.simulation.packed`, :mod:`repro.simulation.solver`, :mod:`repro.camodel.planstore`,
 :mod:`repro.camodel.throughput`, :mod:`repro.obs.store`,
 :mod:`repro.obs.inspect`, :mod:`repro.learning.engine`,
 :mod:`repro.lint.program.driver` and the
@@ -51,6 +51,7 @@ NAMESPACES: FrozenSet[str] = frozenset(
         "service",
         "lease",
         "lint",
+        "simulation",
     }
 )
 
@@ -90,6 +91,10 @@ METRIC_NAMES: FrozenSet[str] = frozenset(
         # packed-kernel padding accounting (repro.simulation.packed)
         "throughput.kernel_slots",
         "throughput.padded_slots",
+        # stacked Laplacian solves (repro.simulation.solver, .engine)
+        "simulation.contention_components",
+        "simulation.drive_solves",
+        "simulation.laplacian_stacks",
         # per-cell generation seconds histogram (repro.camodel.stats)
         "camodel.seconds.per_cell",
         # durable run-telemetry store (repro.obs.store)

@@ -26,20 +26,36 @@ results:
 
 * :meth:`StaticSolver.solve` — the scalar reference oracle, one phase at a
   time (the original Python implementation, kept as the ground truth the
-  differential tests sweep against, and the ``--scalar`` path);
+  differential tests sweep against, and the ``--scalar`` path), with
+  :meth:`StaticSolver._solve_contention` solving one contended component
+  per call;
 * :meth:`StaticSolver.solve_batch` — all phases of one (cell, defect) pair
   through the vectorized kernel in :mod:`repro.simulation.packed`, the
   same kernel :func:`~repro.simulation.packed.solve_packed` runs across
-  many solvers.  Only the rare contended components leave it, for the
-  exact scalar Laplacian solve :meth:`StaticSolver._solve_contention`.
+  many solvers.  Contention is batched in the kernel too:
+  :func:`solve_contention_rows` assembles every contended component of a
+  resolve with one ``np.bincount`` (:func:`stack_laplacians`) and solves
+  each component size with one stacked ``np.linalg.solve``, float for
+  float what ``_solve_contention`` computes.  The drive-resistance solves
+  of :class:`~repro.simulation.engine.DriveBatch` use the same assembly.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
+from repro import obs
 from repro.simulation.switchgraph import DeviceRec, SwitchGraph
 
 if TYPE_CHECKING:
@@ -50,6 +66,13 @@ FLOAT = -2
 MAX_ITERATIONS = 16
 
 ON, OFF, UNKNOWN = 1, 0, -1
+
+# Layer counters of the stacked Laplacian solves (registered in
+# repro.lint.catalog): contended components solved (per resolve-memo
+# miss), and np.linalg.solve calls of the stacked contention and drive
+# solves together.
+M_CONTENTION_COMPONENTS = "simulation.contention_components"
+M_LAPLACIAN_STACKS = "simulation.laplacian_stacks"
 
 
 class SolveResult(NamedTuple):
@@ -345,3 +368,179 @@ class StaticSolver:
         from repro.simulation.packed import PackedRequest, run_kernel
 
         return run_kernel([PackedRequest(self, vectors, prevs)])[0]
+
+
+# ----------------------------------------------------------------------
+# Stacked Laplacian solves
+# ----------------------------------------------------------------------
+def stack_laplacians(
+    sizes: np.ndarray,
+    node_net: np.ndarray,
+    pos: np.ndarray,
+    volt,
+    edge_a: np.ndarray,
+    edge_b: np.ndarray,
+    g: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Assemble the augmented nodal matrices ``[L | i]`` of many resistive
+    networks in one flat array.
+
+    Network ``c`` has ``sizes[c]`` free nodes.  Node ``k`` belongs to
+    network ``node_net[k]`` (-1: none), either free at position
+    ``pos[k]`` or held (``pos[k] == -1``) at voltage ``volt[k]`` (or at
+    the one voltage *volt*).  Edge
+    ``j`` joins nodes ``edge_a[j]`` and ``edge_b[j]`` of one network with
+    conductance ``g[j]``.  Every edge lists four entries, the updates the
+    scalar ``add_edge`` of :meth:`StaticSolver._solve_contention` makes:
+    the diagonals, then the off-diagonal pair (``-g``) or, for a held
+    end, its injection (``g`` times the held voltage).  A held node's row
+    is a spare tail and its column is the injection column.
+    ``np.bincount`` sums each cell's entries in input order, i.e. edge
+    order, so every float equals the scalar ``+=``/``-=`` sequence.
+
+    Networks are laid out by ascending size, so each size is one
+    contiguous ``(k, n, n + 1)`` block (see :func:`size_groups`).
+    Returns ``(flat, offset of each network, networks by size)``.
+    """
+    width = sizes + 1
+    block = sizes * width
+    by_size = sizes.argsort(kind="stable")
+    ends = block[by_size].cumsum()
+    offset = np.empty_like(block)
+    offset[by_size] = ends - block[by_size]
+    spare = int(ends[-1])
+    free = pos >= 0
+    row = np.where(free, offset[node_net] + pos * width[node_net], spare)
+    col = np.where(free, pos, sizes[node_net])
+    factor = np.where(free, -1.0, volt)
+    row_a, row_b, col_a, col_b = row[edge_a], row[edge_b], col[edge_a], col[edge_b]
+    index = np.empty((len(g), 4), dtype=np.intp)
+    np.add(row_a, col_a, out=index[:, 0])
+    np.add(row_a, col_b, out=index[:, 1])
+    np.add(row_b, col_b, out=index[:, 2])
+    np.add(row_b, col_a, out=index[:, 3])
+    weight = np.empty((len(g), 4))
+    weight[:, 0] = g
+    np.multiply(g, factor[edge_b], out=weight[:, 1])
+    weight[:, 2] = g
+    np.multiply(g, factor[edge_a], out=weight[:, 3])
+    flat = np.bincount(
+        index.ravel(), weight.ravel(), minlength=spare + int(width.max())
+    )
+    return flat, offset, by_size
+
+
+def size_groups(
+    flat: np.ndarray, sizes: np.ndarray, offset: np.ndarray, by_size: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(networks, L, i)`` per distinct non-zero size ``n`` of a
+    :func:`stack_laplacians` layout: ``L`` is ``(k, n, n)`` and ``i`` is
+    ``(k, n, 1)``, both views into *flat*."""
+    ordered = sizes[by_size]
+    steps = (ordered[1:] != ordered[:-1]).nonzero()[0] + 1
+    bounds = [0, *steps.tolist(), len(ordered)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        n = int(ordered[lo])
+        if n:
+            first = int(offset[by_size[lo]])
+            m = flat[first : first + (hi - lo) * n * (n + 1)].reshape(-1, n, n + 1)
+            yield by_size[lo:hi], m[:, :, :n], m[:, :, n:]
+
+
+def _pick(table: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``table[rows, cols]`` of a per-row table, or of one shared row."""
+    return table[cols] if table.ndim == 1 else table[rows, cols]
+
+
+def solve_contention_rows(
+    codes: np.ndarray,
+    contended: np.ndarray,
+    labels: np.ndarray,
+    fixed_nodes: np.ndarray,
+    edges: Sequence[np.ndarray],
+    edge_active: np.ndarray,
+    thresholds: np.ndarray,
+) -> None:
+    """Stacked :meth:`StaticSolver._solve_contention` over many rows.
+
+    *codes* ``(R, N)`` (C-contiguous) already holds every fixed node's
+    value; its free *contended* nodes are written in place.  *labels*
+    are the kernel's component labels (each component's smallest node).
+    ``fixed_nodes``, the ``(a, b, g)`` *edges* (device columns first) and
+    ``(vil, vih)`` *thresholds* are per-row tables or one row shared by
+    all; ``edge_active`` marks the conducting edges.
+
+    Exactly the scalar solve per component: free nodes numbered in
+    ascending node order, the Laplacian and injection assembled in
+    ``add_edge`` order (:func:`stack_laplacians`), one ``np.linalg.solve``
+    per component size, thresholded at the row's ``vil``/``vih``.  When
+    a stack is singular its components are solved one at a time, and
+    only the singular ones turn X.
+    """
+    R, N = codes.shape
+    flat_codes = codes.reshape(-1)
+    base = np.arange(0, R * N, N)
+    root = (labels + base[:, None]).ravel()
+    registry = obs.metrics()
+    registry.inc(
+        M_CONTENTION_COMPONENTS,
+        int(np.count_nonzero(contended & (labels == np.arange(N)))),
+    )
+    free = contended.reshape(-1).copy()
+    free[(fixed_nodes + base[:, None]).ravel()] = False
+    free_ids = free.nonzero()[0]
+    if not len(free_ids):  # every contended node is fixed
+        return
+
+    # One network per component with free nodes, in root order; its
+    # free nodes ascending (a stable sort of row-major node ids).
+    keys = root[free_ids]
+    order = keys.argsort(kind="stable")
+    nodes, keys = free_ids[order], keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    net_of_node = new.cumsum() - 1
+    sizes = np.bincount(net_of_node)
+    pos = np.empty(R * N, dtype=np.intp)
+    pos.fill(-1)
+    pos[nodes] = np.arange(len(nodes)) - starts[net_of_node]
+    node_net = np.empty(R * N, dtype=np.intp)
+    node_net.fill(-1)
+    node_net[keys[starts]] = np.arange(len(starts))
+    node_net = node_net[root]
+
+    edge_a, edge_b, edge_g = edges
+    er, ee = (edge_active & (edge_a != edge_b)).nonzero()
+    fa = _pick(edge_a, er, ee) + er * N
+    keep = (node_net[fa] >= 0).nonzero()[0]
+    er, ee, fa = er[keep], ee[keep], fa[keep]
+    flat, offset, by_size = stack_laplacians(
+        sizes, node_net, pos, flat_codes, fa, _pick(edge_b, er, ee) + er * N,
+        _pick(edge_g, er, ee),
+    )
+
+    volts = np.empty(len(nodes))
+    volts.fill(np.nan)  # NaN (singular) thresholds to X
+    calls = 0
+    for nets, laplacian, injection in size_groups(flat, sizes, offset, by_size):
+        calls += 1
+        try:
+            solved = np.linalg.solve(laplacian, injection)[:, :, 0]
+        except np.linalg.LinAlgError:
+            solved = np.full(laplacian.shape[:2], np.nan)
+            for k in range(len(nets)):
+                calls += 1
+                try:
+                    solved[k] = np.linalg.solve(laplacian[k], injection[k, :, 0])
+                except np.linalg.LinAlgError:
+                    pass
+        volts[starts[nets][:, None] + np.arange(laplacian.shape[1])] = solved
+    registry.inc(M_LAPLACIAN_STACKS, calls)
+
+    if len(thresholds) > 1:
+        thresholds = thresholds[nodes // N]
+    flat_codes[nodes] = np.where(
+        volts >= thresholds[:, 1], 1, np.where(volts <= thresholds[:, 0], 0, X)
+    )

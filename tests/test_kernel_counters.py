@@ -28,12 +28,17 @@ SHARED = {
     "camodel.sim.batched_phases": 2646.0,
     "camodel.sim.cache_hits": 35818.0,
     "camodel.sim.solves": 2646.0,
+    "simulation.contention_components": 1861.0,
+    "simulation.drive_solves": 1290.0,
     "throughput.plan_reuse": 1.0,
 }
-PER_CELL = dict(SHARED)
+# Stacked np.linalg.solve calls: one per component size of each
+# contended resolve (per-cell calls hold few rows, packed calls many).
+PER_CELL = dict(SHARED, **{"simulation.laplacian_stacks": 649.0})
 THROUGHPUT = dict(
     SHARED,
     **{
+        "simulation.laplacian_stacks": 91.0,
         "throughput.cells": 4.0,
         "throughput.flushes": 3.0,
         "throughput.kernel_slots": 39690.0,

@@ -374,11 +374,12 @@ def test_catalog_matches_defining_modules():
     import repro.simulation.engine as engine
     import repro.simulation.packed as packed
     import repro.simulation.phasecache as phasecache
+    import repro.simulation.solver as solver
     from repro.lint.catalog import EVENT_NAMES, METRIC_NAMES
 
     modules = (
         stats, runner, engine, phasecache, planstore, throughput,
-        packed, obs_store, obs_inspect, obs_trace, learning_engine,
+        packed, solver, obs_store, obs_inspect, obs_trace, learning_engine,
         service_api, service_coordinator, service_lease, service_worker,
         lint_program_driver,
     )
