@@ -2,10 +2,11 @@
 
 A lease is one JSON file ``<run_dir>/leases/<cell>.json`` holding the
 owner id, the attempt index, the acquire/heartbeat timestamps and the
-expiry deadline.  Claiming is an **exclusive create**
-(``os.open(..., O_CREAT | O_EXCL)``): the filesystem serializes racing
+expiry deadline.  Claiming is an **exclusive hard link** of a fully
+written temp file (``os.link``): the filesystem serializes racing
 workers, exactly one claim per vacant path succeeds, everyone else gets
-``FileExistsError`` and moves on.  Holding a lease entitles a worker to
+``FileExistsError`` and moves on, and a claim file never exists without
+its record.  Holding a lease entitles a worker to
 characterize that cell; it does **not** decide correctness — the single
 serialization point for completion is the artifact commit
 (:func:`repro.service.worker.commit_artifact`'s exclusive hardlink), so
@@ -23,13 +24,12 @@ Liveness comes from the heartbeat/expiry pair:
   deadline passed (:meth:`LeaseStore.reap_expired`).  A SIGKILLed
   worker's cell is therefore re-leased after at most one TTL, not lost.
 
-An unparseable lease file (a claim create was itself interrupted) is
-treated as expired: the claimant died before finishing its first write,
-so the reaper may take it immediately.
+An unparseable lease file (which no claim or heartbeat writes) is
+treated as expired, so the reaper may take it immediately.
 
 The lease state machine of one cell (see ``docs/resilience.md``)::
 
-    pending ── claim (O_EXCL create) ──► leased
+    pending ── claim (exclusive link) ─► leased
     leased  ── heartbeat ─────────────► leased      (deadline pushed)
     leased  ── release / commit ──────► done        (artifact committed)
     leased  ── worker failure ────────► pending     (error recorded)
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,7 +133,7 @@ class LeaseStore:
         """Current lease record of *cell*, or ``None`` when unleased.
 
         A present-but-unparseable file is returned as an empty dict so
-        the reaper can distinguish "vacant" from "torn claim".
+        the reaper can distinguish "vacant" from "unparseable".
         """
         try:
             text = self.path(cell).read_text()
@@ -157,8 +158,8 @@ class LeaseStore:
     def claim(self, cell: str, owner: str, attempt: int) -> Optional[Lease]:
         """Try to claim *cell*; ``None`` when someone else holds it.
 
-        The exclusive create is the whole protocol: exactly one racer
-        per vacant path wins, and nobody ever overwrites a live claim.
+        The exclusive link is the whole protocol: exactly one racer per
+        vacant path wins, and nobody ever overwrites a live claim.
         """
         now = self.clock()
         lease = Lease(
@@ -171,17 +172,23 @@ class LeaseStore:
             ttl=self.ttl,
         )
         blob = json.dumps(lease.to_dict(), sort_keys=True).encode()
+        # Written first, then linked into place: the reaper takes an
+        # unparseable lease file for expired, so a live claim must never
+        # be visible half-written.
+        fd, tmp = tempfile.mkstemp(
+            dir=self.lease_dir, prefix=f".{cell}.", suffix=".claim"
+        )
         try:
-            fd = os.open(
-                self.path(cell), os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
+            try:
+                os.write(fd, blob)
+            finally:
+                os.close(fd)
+            os.link(tmp, self.path(cell))
         except FileExistsError:
             self._metrics().inc(M_CONFLICTS)
             return None
-        try:
-            os.write(fd, blob)
         finally:
-            os.close(fd)
+            os.unlink(tmp)
         self._metrics().inc(M_CLAIMS)
         return lease
 
@@ -222,7 +229,7 @@ class LeaseStore:
     def expired(self, record: Mapping[str, object]) -> bool:
         """True when *record* (from :meth:`read`) is past its deadline."""
         if not record:
-            return True  # torn claim: the claimant died mid-create
+            return True  # unparseable: no claim or heartbeat writes one
         try:
             return self.clock() > float(record["expires"])  # type: ignore[arg-type]
         except (KeyError, TypeError, ValueError):

@@ -13,7 +13,7 @@ channel beyond the filesystem.
 A cell is **claimable** when its ledger state is ``pending`` or
 ``failed``, its artifact is absent, no structured error record is
 waiting for the coordinator, and its lease path is vacant.  The claim
-itself (exclusive create) is the only serialization needed; everything
+itself (exclusive link) is the only serialization needed; everything
 afterwards is belt-and-braces:
 
 * a heartbeat thread re-stamps the lease at ``ttl/4``; if the lease is

@@ -17,11 +17,12 @@ Three layers are exercised, all against real on-disk state:
   once no matter how many sessions it took, and no cell is collected
   twice.
 * **Commit/claim edges** — deterministic checks of the exactly-once
-  hardlink commit and of torn (unparseable) claim files being
-  immediately reapable.
+  hardlink commit, of a reap during a claim leaving the claim alone, and
+  of torn (unparseable) claim files being immediately reapable.
 """
 
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
@@ -124,7 +125,7 @@ class _World:
         attempt = next_attempt_index(self.store.obs_dir, name, KEY, 0)
         lease = self.leases.claim(name, worker, attempt)
         if lease is None:
-            return  # lost the O_EXCL race (impossible sequentially)
+            return  # lost the claim race (impossible sequentially)
         # the shard-recovered index is never reused by a later attempt
         assert attempt not in self.attempts_used[name]
         self.attempts_used[name].add(attempt)
@@ -369,6 +370,29 @@ def test_commit_artifact_admits_exactly_one_winner(tmp_path):
     # the second committer loses the hardlink race and must discard
     assert commit_artifact(tmp_path, artifact, data) is False
     assert json.loads(artifact.read_text()) == data
+
+
+def test_reaper_never_sees_a_live_claim_half_written(tmp_path, monkeypatch):
+    """The coordinator reaps concurrently with claims; a reap that lands
+    while a claim is being written must leave that claim alone (it used
+    to find an empty claim file, take it for torn, and reap it)."""
+    clock = FakeClock()
+    leases = LeaseStore(tmp_path, ttl=TTL, clock=clock)
+    write, reaps = os.write, []
+
+    def write_during_reap(fd, data):
+        if not reaps:
+            reaps.append(leases.reap_expired())
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", write_during_reap)
+    lease = leases.claim("C0", "w0", 0)
+    monkeypatch.undo()
+    assert reaps == [[]]
+    assert lease is not None
+    assert leases.read("C0")["owner"] == "w0"
+    assert leases.heartbeat(lease)
+    assert [p.name for p in (tmp_path / "leases").iterdir()] == ["C0.json"]
 
 
 def test_torn_claim_is_immediately_reapable(tmp_path):
